@@ -5,13 +5,13 @@ Two sections, one table (``results/sharded_serving.txt``):
 * **Shard scaling** — the million-op read-heavy endurance trace (the same
   recipe the vectorised-execute benchmark pins) is served at 1, 2 and 4
   shards.  Each shard replays its hash-partitioned slice of the stream
-  through the serving loop (``execute_serving_batched``, which coalesces
-  GET spans across range scans); the fleet's wall-clock cost is the
+  through the trace-replay kernel (``execute_operations_batched``, whose
+  GET spans run on across range scans); the fleet's wall-clock cost is the
   *critical path* — the slowest shard.  On one CPU the speedup is
   algorithmic, not parallel: each shard probes a tree a quarter the size
   and its point reads coalesce into longer ``get_many`` batches.  The
   single-shard run is pinned bit-identical (counters and final tree
-  state) to the classic batched executor replay, and the 4-shard critical
+  state) to the classic executor replay, and the 4-shard critical
   path is pinned at ``MIN_SHARD_SPEEDUP``x the single-shard time.
 
 * **Admission pacing** — an adaptive run over a bursty drift sequence
@@ -40,7 +40,7 @@ from conftest import run_once
 
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import OnlineConfig
-from repro.serving import execute_serving_batched, partition_keys, shard_operations
+from repro.serving import partition_keys, shard_operations
 from repro.serving.executor import tree_fingerprint
 from repro.storage import ExecutorConfig, LSMTree, WorkloadExecutor
 from repro.storage.lsm_tree import execute_operations_batched
@@ -130,12 +130,12 @@ def _shard_scaling() -> dict[str, object]:
         ]
         counter_trees = [_fresh_tree(system, part) for part in parts]
         for tree, stream in zip(counter_trees, streams):
-            execute_serving_batched(tree, stream)
+            execute_operations_batched(tree, stream)
         critical_s = min(
             max(
                 _timed(
                     lambda t=_fresh_tree(system, part), st=stream: (
-                        execute_serving_batched(t, st)
+                        execute_operations_batched(t, st)
                     )
                 )
                 for part, stream in zip(parts, streams)

@@ -1,11 +1,12 @@
 """Macro-benchmark — scalar vs vectorised batch trace execution.
 
-The simulator's hot path is trace replay: every session measurement walks
-operations one by one through ``LSMTree.apply``.  The vectorised path cuts
-the stream into maximal write-free GET spans and routes them through the
-batched read stack (``might_contain_many`` → ``lookup_many`` → ``get_many``),
-whose contract is *bit identity*: the virtual disk must record exactly the
-counters the scalar replay records, operation for operation.
+The simulator's hot path is trace replay.  The replay kernel
+(``execute_operations_batched``) collects point reads into write-free GET
+spans — range scans run in place without ending a span, a write drains it —
+and routes each span through the batched read stack
+(``might_contain_many`` → ``lookup_many`` → ``get_many``).  Its contract is
+*bit identity*: the virtual disk must record exactly the counters a scalar
+replay (one ``execute_operation`` per operation) records.
 
 This benchmark replays a million-op read-heavy endurance trace both ways,
 asserts the I/O counters match byte for byte, and pins the speedup floor.

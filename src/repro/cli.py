@@ -228,10 +228,6 @@ def _executor_config(args: argparse.Namespace, **overrides) -> ExecutorConfig:
     config = ExecutorConfig(**overrides)
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
-    if getattr(args, "batch_execution", None) is not None:
-        config.batch_execution = args.batch_execution
-    if getattr(args, "max_batch_ops", None) is not None:
-        config.max_batch_ops = args.max_batch_ops
     if getattr(args, "update_fraction", None) is not None:
         config.update_fraction = args.update_fraction
     if getattr(args, "update_skew", None) is not None:
@@ -265,25 +261,6 @@ def _add_update_flags(subparser: argparse.ArgumentParser) -> None:
         default=None,
         help="Zipf exponent concentrating updates on a hot key subset "
         "(0 = uniform over the resident keys)",
-    )
-
-
-def _add_batch_flags(subparser: argparse.ArgumentParser) -> None:
-    """Vectorised-execution knobs shared by the simulator subcommands."""
-    subparser.add_argument(
-        "--no-batch-execution",
-        dest="batch_execution",
-        action="store_false",
-        default=True,
-        help="replay traces one operation at a time instead of batching "
-        "write-free GET spans through the vectorised read path "
-        "(same measured I/O, much slower; for parity checks)",
-    )
-    subparser.add_argument(
-        "--max-batch-ops",
-        type=_positive_int,
-        default=4_096,
-        help="largest GET batch handed to the vectorised read path",
     )
 
 
@@ -513,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the comparison as machine-readable JSON instead of a table",
     )
-    _add_batch_flags(compare)
     compare.set_defaults(func=_cmd_compare)
 
     online = subparsers.add_parser(
@@ -689,7 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the comparison as machine-readable JSON instead of a table",
     )
-    _add_batch_flags(online)
     online.set_defaults(func=_cmd_online)
     return parser
 

@@ -20,11 +20,11 @@ admitted is a serving-layer policy:
 
 :class:`StepAdmission` is deliberately stateless: callers pass the stream
 position, the plan's start position, the position of the last admitted step,
-and the current backlog.  That keeps the scalar per-operation check and the
-batched span-bounding math (:meth:`ops_until_step`) provably consistent —
-both read the same inputs, and within a span the backlog decreases by exactly
-one per operation, so the first admitting position can be computed in closed
-form.
+and the current backlog.  That keeps the per-operation check
+(:meth:`should_step`) and the chunk-bounding math (:meth:`ops_until_step`)
+provably consistent — both read the same inputs, and within a chunk the
+backlog decreases by exactly one per operation, so the first admitting
+position can be computed in closed form.
 """
 
 from __future__ import annotations
@@ -102,9 +102,9 @@ class StepAdmission:
         Exact under the serving loop's invariant that the backlog decreases
         by one per executed operation: after ``k`` more operations the elapsed
         count grows by ``k`` and the backlog shrinks by ``k``, so the first
-        admitting ``k`` solves in closed form.  Batched execution bounds GET
-        spans by this, guaranteeing a span never skips over an admission the
-        scalar loop would have taken.
+        admitting ``k`` solves in closed form.  The controller cuts its replay
+        chunks by this, guaranteeing a chunk never skips over an admission a
+        per-operation loop would have taken.
         """
         if self.mode == "fixed":
             return self.step_ops - (position - plan_started) % self.step_ops

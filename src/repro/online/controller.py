@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from ..core.uncertainty import UncertaintyRegion
 from ..lsm.policy import CLASSIC_POLICIES, Policy, PolicySpec
 from ..lsm.system import SystemConfig
 from ..lsm.tuning import LSMTuning
-from ..storage.lsm_tree import POINT_READ_KINDS, SCALAR_SPAN_CUTOFF, LSMTree
+from ..storage.lsm_tree import LSMTree, execute_operations_batched
 from ..storage.run import consolidate_versions
 from ..workloads.traces import Operation
 from ..workloads.workload import Workload
@@ -303,49 +303,6 @@ class OnlineLSMController:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def apply(self, operation: Operation) -> None:
-        """Execute one operation on the live tree and run the adaptive loop.
-
-        While an incremental migration plan is in flight the operation is
-        served by the mixed old/new state, the plan advances one step every
-        ``migration_step_ops`` operations, and drift checks are suspended —
-        the detector's cooldown (armed at the firing) is meanwhile running,
-        and the estimator keeps observing, so the loop resumes with a warm
-        window once the plan completes.
-        """
-        if self._plan is not None:
-            self._plan.apply(operation)
-        else:
-            self.tree.apply(operation)
-        self.estimator.record_kind(operation.kind)
-        self.position += 1
-        if self._backlog > 0:
-            self._backlog -= 1
-        if self._plan is not None:
-            if self.admission.should_step(
-                self.position, self._plan_started, self._last_step_position,
-                self._backlog,
-            ):
-                self.advance_migration()
-        elif self.position % self.config.check_interval == 0:
-            self.maybe_retune()
-
-    def execute(self, operations: Iterable[Operation]) -> None:
-        """Execute a stream of operations through the adaptive loop.
-
-        The length of the stream seeds the serving backlog the admission
-        policy observes: under ``admission="queue-depth"`` migration steps
-        that fall due while the chunk is still deep are deferred until it has
-        drained to ``admission_max_backlog`` (or the starvation bound).
-        """
-        operations = (
-            operations if isinstance(operations, list) else list(operations)
-        )
-        self._backlog = len(operations)
-        for operation in operations:
-            self.apply(operation)
-        self._backlog = 0
-
     def note_idle(self) -> None:
         """Signal a serving lull: drain deferred migration steps.
 
@@ -367,10 +324,9 @@ class OnlineLSMController:
         While a migration plan is in flight the boundary is its next admitted
         step (the admission policy's closed-form
         :meth:`~repro.online.admission.StepAdmission.ops_until_step`);
-        otherwise it is the next drift check (``check_interval``).  A batched
-        GET span must not cross either: the drift detector and the plan have
-        to observe the stream at exactly the per-operation granularity of
-        :meth:`apply`.
+        otherwise it is the next drift check (``check_interval``).  A replay
+        chunk must not cross either: the drift detector and the plan have to
+        observe the stream at exactly the per-operation granularity.
         """
         if self._plan is not None:
             return self.admission.ops_until_step(
@@ -380,33 +336,25 @@ class OnlineLSMController:
         interval = self.config.check_interval
         return interval - self.position % interval
 
-    def _after_batch(self) -> None:
-        """Run the boundary work :meth:`apply` would have run, if due."""
-        if self._plan is not None:
-            if self.admission.should_step(
-                self.position, self._plan_started, self._last_step_position,
-                self._backlog,
-            ):
-                self.advance_migration()
-        elif self.position % self.config.check_interval == 0:
-            self.maybe_retune()
+    def execute_batched(self, operations: Sequence[Operation]) -> None:
+        """Execute a stream of operations through the adaptive loop.
 
-    def execute_batched(
-        self, operations: Sequence[Operation], max_batch_ops: int = 4_096
-    ) -> None:
-        """Execute a stream through the adaptive loop, batching GET spans.
+        The stream is cut into chunks that end at the next adaptive-loop
+        boundary (drift check or admitted migration step); each chunk replays
+        through :func:`~repro.storage.lsm_tree.execute_operations_batched` on
+        the live tree — or on the mixed old/new state while an incremental
+        plan is in flight — and the boundary work then runs exactly where a
+        per-operation loop would run it.  While a plan is in flight the plan
+        advances at its admitted steps and drift checks are suspended; the
+        detector's cooldown (armed at the firing) keeps running and the
+        estimator keeps observing, so the loop resumes with a warm window
+        once the plan completes.
 
-        Write-free spans of point reads run through the engine's vectorised
-        ``get_many`` — the live tree's, or the mixed migration state's while
-        a plan is in flight.  Batches are additionally bounded by the next
-        adaptive-loop boundary (drift check or migration step), so the
-        detector fires at the same stream positions, migrations start and
-        advance at the same operations, and the estimator folds in the same
-        operation sequence as the scalar :meth:`execute` — the measured
-        stream is bit-identical, just cheaper to replay.
+        The length of the stream seeds the serving backlog the admission
+        policy observes: under ``admission="queue-depth"`` migration steps
+        that fall due while the stream is still deep are deferred until it
+        has drained to ``admission_max_backlog`` (or the starvation bound).
         """
-        if max_batch_ops <= 0:
-            raise ValueError("max_batch_ops must be positive")
         operations = (
             operations if isinstance(operations, list) else list(operations)
         )
@@ -414,30 +362,21 @@ class OnlineLSMController:
         total = len(operations)
         self._backlog = total
         while index < total:
-            operation = operations[index]
-            if operation.kind not in POINT_READ_KINDS:
-                self.apply(operation)
-                index += 1
-                continue
-            stop = min(index + min(self._ops_until_boundary(), max_batch_ops), total)
-            end = index
-            while end < stop and operations[end].kind in POINT_READ_KINDS:
-                end += 1
-            span = operations[index:end]
+            chunk = operations[index:index + self._ops_until_boundary()]
             engine = self._plan if self._plan is not None else self.tree
-            if len(span) < SCALAR_SPAN_CUTOFF:
-                for op in span:
-                    engine.get(op.key)
-            else:
-                engine.get_many(
-                    np.fromiter((op.key for op in span), dtype=np.int64, count=len(span))
-                )
-            for op in span:
-                self.estimator.record_kind(op.kind)
-            self.position += len(span)
-            self._backlog = max(0, self._backlog - len(span))
-            index = end
-            self._after_batch()
+            execute_operations_batched(engine, chunk)
+            self.estimator.record_batch(chunk)
+            index += len(chunk)
+            self.position += len(chunk)
+            self._backlog = max(0, self._backlog - len(chunk))
+            if self._plan is not None:
+                if self.admission.should_step(
+                    self.position, self._plan_started, self._last_step_position,
+                    self._backlog,
+                ):
+                    self.advance_migration()
+            elif self.position % self.config.check_interval == 0:
+                self.maybe_retune()
         self._backlog = 0
 
     # ------------------------------------------------------------------
@@ -579,7 +518,7 @@ class OnlineLSMController:
 
         The first step executes at the firing itself (the migration makes
         observable progress immediately); subsequent steps run every
-        ``migration_step_ops`` operations from :meth:`apply`.  Returns the
+        ``migration_step_ops`` operations from :meth:`execute_batched`.  Returns the
         plan's *planned* read/write page totals — identical to what a full
         migration would move — and its step count.
         """

@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..storage.lsm_tree import LSMTree, execute_operation
-from ..workloads.traces import Operation
+from ..storage.lsm_tree import LSMTree
 
 
 class MigrationInvariantError(RuntimeError):
@@ -311,14 +310,6 @@ class MigrationPlan:
     # ------------------------------------------------------------------
     # Mixed-state serving
     # ------------------------------------------------------------------
-    def apply(self, operation: Operation) -> None:
-        """Execute one trace operation against the mixed old/new state.
-
-        Routed through the same dispatch the live tree uses, so the mixed
-        state handles exactly the operation kinds the plain path handles.
-        """
-        execute_operation(self, operation)
-
     def put(self, key: int) -> None:
         """Insert or update ``key``; lands in the surviving (target) tree."""
         self._dirty_keys.add(int(key))

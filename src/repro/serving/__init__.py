@@ -8,14 +8,13 @@ top of the existing single-tree executor:
   splitmix64-style mixer and routes operation streams: point operations go
   to their key's owner shard, range scans fan out to every shard (a hash
   partition scatters key intervals).
-* :mod:`~repro.serving.replay` is the per-shard serving loop — it coalesces
-  GET spans across interleaved range scans (reads commute: only writes are
-  reordering barriers), so a shard replays its stream through fewer, longer
-  ``get_many`` batches with bit-identical I/O accounting.
 * :class:`~repro.serving.executor.ShardedExecutor` builds one tree (or one
   :class:`~repro.online.controller.OnlineLSMController`) per shard — each
-  persistent shard in its own data dir — replays the sequence per shard,
-  and merges per-shard :class:`~repro.storage.disk.VirtualDisk` counters
+  persistent shard in its own data dir — replays each shard's sub-stream
+  through the one trace-replay kernel
+  (:func:`~repro.storage.lsm_tree.execute_operations_batched`, whose GET
+  spans run on across range scans, so the scan fan-out does not fragment
+  them), and merges per-shard :class:`~repro.storage.disk.VirtualDisk` counters
   into global session measurements plus fleet-style percentiles
   (p50/p95/worst shard).
 
@@ -30,7 +29,6 @@ from .executor import (
     ShardRun,
     fleet_percentiles,
 )
-from .replay import execute_serving_batched
 from .report import format_sharded_comparison
 from .sharding import partition_keys, shard_ids, shard_operations
 
@@ -39,7 +37,6 @@ __all__ = [
     "ShardedComparison",
     "ShardedExecutor",
     "ShardedSequenceMeasurement",
-    "execute_serving_batched",
     "fleet_percentiles",
     "format_sharded_comparison",
     "partition_keys",

@@ -47,9 +47,10 @@ from ..storage.executor import (
     WorkloadExecutor,
 )
 from ..storage.lsm_tree import LSMTree, TreeStats
+# The per-shard replay loop: the one trace-replay kernel, under its serving name.
+from ..storage.lsm_tree import execute_operations_batched as execute_serving_batched
 from ..workloads.sessions import SessionSequence
 from ..workloads.workload import Workload
-from .replay import execute_serving_batched
 from .sharding import partition_keys, shard_operations
 
 
@@ -278,15 +279,9 @@ def _run_shard(
                 ),
                 policies=policies,
             )
-            if config.batch_execution:
-                def execute(operations):
-                    controller.execute_batched(
-                        operations, max_batch_ops=config.max_batch_ops
-                    )
-            else:
-                execute = controller.execute
             sessions, elapsed = _measure_shard_sessions(
-                executor, execute, controller.disk, sequence, shard, num_shards,
+                executor, controller.execute_batched, controller.disk, sequence,
+                shard, num_shards,
                 note_idle=controller.note_idle,
             )
             controller.finish_migration()
@@ -298,15 +293,9 @@ def _run_shard(
                 events=tuple(controller.events),
             )
         else:
-            if config.batch_execution:
-                def execute(operations):
-                    execute_serving_batched(
-                        tree, operations, max_batch_ops=config.max_batch_ops
-                    )
-            else:
-                def execute(operations):
-                    for op in operations:
-                        tree.apply(op)
+            def execute(operations):
+                execute_serving_batched(tree, operations)
+
             sessions, elapsed = _measure_shard_sessions(
                 executor, execute, tree.disk, sequence, shard, num_shards
             )

@@ -173,12 +173,6 @@ class ExecutorConfig:
     write_latency_us: float = 100.0
     #: Seed controlling trace generation.
     seed: int = 97
-    #: Whether trace replay routes write-free GET spans through the batched
-    #: ``get_many`` read path (bit-identical I/O accounting; disable to fall
-    #: back to the per-operation scalar loop, e.g. for a parity check).
-    batch_execution: bool = True
-    #: Upper bound on the keys of one batched GET span.
-    max_batch_ops: int = 4_096
     #: Storage backend the trees run on: ``"simulated"`` keeps runs in memory
     #: (the default virtual-disk engine), ``"persistent"`` builds
     #: :class:`~repro.storage.persistent.PersistentLSMTree` instances on real
@@ -208,8 +202,6 @@ class ExecutorConfig:
     admission: str = "fixed"
 
     def __post_init__(self) -> None:
-        if self.max_batch_ops <= 0:
-            raise ValueError("max_batch_ops must be positive")
         if self.backend not in ("simulated", "persistent"):
             raise ValueError(
                 f"backend must be 'simulated' or 'persistent', got {self.backend!r}"
@@ -305,17 +297,6 @@ class WorkloadExecutor:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _execute_operations(
-        self, tree: LSMTree, operations: list[Operation]
-    ) -> None:
-        if self.config.batch_execution:
-            execute_operations_batched(
-                tree, operations, max_batch_ops=self.config.max_batch_ops
-            )
-        else:
-            for op in operations:
-                tree.apply(op)
-
     def _measure_session(
         self,
         disk: VirtualDisk,
@@ -357,7 +338,7 @@ class WorkloadExecutor:
         """Execute one session on an existing tree and measure its I/O."""
         return self._measure_session(
             tree.disk,
-            lambda operations: self._execute_operations(tree, operations),
+            lambda operations: execute_operations_batched(tree, operations),
             session,
             trace,
         )
@@ -461,18 +442,13 @@ class WorkloadExecutor:
                 ),
                 policies=policies,
             )
-            if self.config.batch_execution:
-                def execute(operations):
-                    controller.execute_batched(
-                        operations, max_batch_ops=self.config.max_batch_ops
-                    )
-            else:
-                execute = controller.execute
             trace = self.trace_generator()
             measurements = []
             for session in sequence:
                 measurements.append(
-                    self._measure_session(controller.disk, execute, session, trace)
+                    self._measure_session(
+                        controller.disk, controller.execute_batched, session, trace
+                    )
                 )
                 # The gap between sessions is a serving lull: under
                 # queue-depth admission the controller drains deferred

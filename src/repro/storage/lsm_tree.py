@@ -59,8 +59,9 @@ def execute_operation(engine, operation: Operation) -> None:
     The single place :class:`~repro.workloads.traces.Operation` kinds map to
     engine calls.  ``engine`` is anything exposing the three methods — the
     live :class:`LSMTree` and the online subsystem's mixed migration state
-    both route through here, so a new operation kind handled in one
-    measurement path can never be silently mis-routed in the other.
+    both route through here (via :func:`execute_operations_batched`), so a
+    new operation kind handled on one engine can never be silently
+    mis-routed on the other.
     """
     if operation.kind is OperationType.PUT:
         engine.put(operation.key)
@@ -70,13 +71,13 @@ def execute_operation(engine, operation: Operation) -> None:
         engine.get(operation.key)
 
 
-#: Operation kinds a batched GET span may absorb (both point-read flavours).
-POINT_READ_KINDS = frozenset((OperationType.GET, OperationType.EMPTY_GET))
-
 #: GET spans shorter than this run through the scalar path: per-batch array
 #: overhead beats per-key dict/filter probes only once a span has some width,
 #: and the two paths are bit-identical either way.
 SCALAR_SPAN_CUTOFF = 8
+
+#: Largest GET span handed to one ``get_many`` call; bounds the batch arrays.
+MAX_SPAN_KEYS = 4_096
 
 
 def drain_get_span(engine, span_keys: list[int]) -> None:
@@ -95,32 +96,41 @@ def drain_get_span(engine, span_keys: list[int]) -> None:
     span_keys.clear()
 
 
-def execute_operations_batched(engine, operations, max_batch_ops: int = 4_096) -> None:
-    """Execute a span of trace operations, batching write-free GET runs.
+def execute_operations_batched(engine, operations) -> None:
+    """Replay a span of trace operations, batching point reads.
 
-    The batched companion of :func:`execute_operation`: maximal spans of
-    consecutive point reads (capped at ``max_batch_ops``) are routed through
-    the engine's vectorised ``get_many``; a PUT or RANGE flushes the pending
-    span first and then runs through the scalar dispatch, since writes mutate
-    the tree structure (flushes, compactions) that subsequent reads must
-    observe.  ``engine`` is anything exposing ``get_many`` alongside the
-    scalar trio — the live :class:`LSMTree` and the online subsystem's mixed
-    migration state both qualify — and the disk counters, tree state and
-    query answers are bit-identical to replaying the span scalar.
+    The one trace-replay loop: every measurement path — the plain executor,
+    the sharded serving layer and the online controller — runs its stream
+    through here.  Point reads (GET, EMPTY_GET) collect into a pending span
+    that drains through the engine's vectorised ``get_many`` (at most
+    :data:`MAX_SPAN_KEYS` keys at a time).  A RANGE runs in place *without*
+    draining the span: reads leave the tree untouched, so they commute.  A
+    PUT drains the span first and then runs, since writes mutate the tree
+    structure (flushes, compactions) that later reads must observe.
+
+    ``engine`` is anything exposing ``get_many`` alongside the scalar trio —
+    the live :class:`LSMTree` and the online subsystem's mixed migration
+    state both qualify.  Every operation executes against the same tree
+    state as a per-operation replay, with the same per-probe I/O charging,
+    so disk counters, tree state and query answers are bit-identical; only
+    the order of read I/O inside a write-free window shifts, which no
+    measurement observes.
     """
-    if max_batch_ops <= 0:
-        raise ValueError("max_batch_ops must be positive")
     # Identity checks against hoisted members: this loop runs once per trace
-    # operation, so even the frozenset's enum hashing shows up at 1M ops.
+    # operation, so even enum attribute lookups show up at 1M ops.
     get_kind, empty_get_kind = OperationType.GET, OperationType.EMPTY_GET
+    range_kind = OperationType.RANGE
+    max_span = MAX_SPAN_KEYS
     pending: list[int] = []
     append = pending.append
     for operation in operations:
         kind = operation.kind
         if kind is get_kind or kind is empty_get_kind:
             append(operation.key)
-            if len(pending) >= max_batch_ops:
+            if len(pending) >= max_span:
                 drain_get_span(engine, pending)
+        elif kind is range_kind:
+            execute_operation(engine, operation)
         else:
             if pending:
                 drain_get_span(engine, pending)
@@ -549,19 +559,6 @@ class LSMTree:
         keep = np.ones(sorted_keys.size, dtype=bool)
         keep[1:] = sorted_keys[1:] != sorted_keys[:-1]
         return sorted_keys[keep], sorted_tombstones[keep]
-
-    # ------------------------------------------------------------------
-    # Trace operations
-    # ------------------------------------------------------------------
-    def apply(self, operation: Operation) -> None:
-        """Execute one concrete trace operation against the tree.
-
-        Dispatches through :func:`execute_operation` — the single place the
-        :class:`~repro.workloads.traces.Operation` kinds map to engine calls
-        — so the plain executor replay, the online controller, and the
-        mixed migration state cannot drift apart.
-        """
-        execute_operation(self, operation)
 
     # ------------------------------------------------------------------
     # Bulk loading

@@ -51,8 +51,6 @@ class Operation:
     key: int
     #: Number of consecutive keys scanned; only meaningful for range queries.
     scan_length: int = 0
-    #: Value payload; only meaningful for puts.
-    value: bytes = b""
 
 
 @dataclass(frozen=True)
@@ -91,15 +89,12 @@ class TraceGenerator:
     def __init__(
         self,
         key_space: KeySpace,
-        value_size_bytes: int = 8,
         range_scan_keys: int = 16,
         long_scan_keys: int = 512,
         seed: int = 23,
         update_fraction: float = 0.0,
         update_skew: float = 0.0,
     ) -> None:
-        if value_size_bytes <= 0:
-            raise ValueError("value_size_bytes must be positive")
         if range_scan_keys <= 0:
             raise ValueError("range_scan_keys must be positive")
         if long_scan_keys < range_scan_keys:
@@ -109,7 +104,6 @@ class TraceGenerator:
         if update_skew < 0.0:
             raise ValueError("update_skew must be non-negative")
         self.key_space = key_space
-        self.value_size_bytes = value_size_bytes
         self.range_scan_keys = range_scan_keys
         self.long_scan_keys = long_scan_keys
         #: Fraction of the writes that *update* an existing key (duplicate
@@ -187,14 +181,13 @@ class TraceGenerator:
 
     def _puts(self, count: int) -> list[Operation]:
         ops = []
-        payload = bytes(self.value_size_bytes)
         num_updates = (
             int(round(count * self.update_fraction)) if self.update_fraction else 0
         )
         for key in self._update_keys(num_updates):
-            ops.append(Operation(OperationType.PUT, int(key), value=payload))
+            ops.append(Operation(OperationType.PUT, int(key)))
         for _ in range(count - num_updates):
-            ops.append(Operation(OperationType.PUT, self._next_fresh_key, value=payload))
+            ops.append(Operation(OperationType.PUT, self._next_fresh_key))
             self._next_fresh_key += 1
         return ops
 
@@ -215,14 +208,6 @@ class TraceGenerator:
         return self._update_rng.choice(
             self._hot_order, size=count, replace=True, p=self._hot_probabilities
         )
-
-    # ------------------------------------------------------------------
-    # Bulk loading
-    # ------------------------------------------------------------------
-    def bulk_load_items(self) -> list[tuple[int, bytes]]:
-        """Key/value pairs to bulk-load before running any trace."""
-        payload = bytes(self.value_size_bytes)
-        return [(int(key), payload) for key in self.key_space.existing]
 
 
 def operation_mix(operations: Sequence[Operation]) -> Workload:

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from replay_oracle import apply_scalar, execute_scalar
 
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import ADMISSION_MODES, OnlineConfig, OnlineLSMController, StepAdmission
 from repro.serving.executor import tree_fingerprint
-from repro.storage import LSMTree
+from repro.storage import LSMTree, lsm_tree
 from repro.workloads import KeySpace, TraceGenerator, Workload
 
 _SYSTEM = simulator_system(num_entries=4_000)
@@ -88,10 +91,11 @@ class TestStepAdmissionPolicy:
     ):
         """The closed form agrees with stepping one operation at a time.
 
-        This is the contract batched execution relies on: bounding a span by
-        ``ops_until_step`` can never jump over an admission the scalar loop
-        would have taken, because within a span the backlog drains by one per
-        operation and the elapsed count grows by one.
+        This is the contract chunked execution relies on: bounding a chunk
+        by ``ops_until_step`` can never jump over an admission the
+        per-operation loop would have taken, because within a chunk the
+        backlog drains by one per operation and the elapsed count grows by
+        one.
         """
         admission = StepAdmission(
             mode=mode, step_ops=step_ops, max_backlog=max_backlog,
@@ -160,7 +164,7 @@ def _mid_flight_controller(**admission_kwargs):
     controller = _controller(config, expected)
     trace = TraceGenerator(_KEY_SPACE, seed=9)
     for operation in trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 2_000):
-        controller.apply(operation)
+        apply_scalar(controller, operation)
         if controller.migration_in_progress:
             return controller
     raise AssertionError("no migration started")
@@ -195,7 +199,7 @@ class TestControllerAdmission:
             )
             trace = TraceGenerator(_KEY_SPACE, seed=31)
             # One big busy chunk: the backlog stays deep almost throughout.
-            controller.execute(
+            controller.execute_batched(
                 trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 1_500)
             )
             plan = controller.migration_plan
@@ -212,7 +216,7 @@ class TestControllerAdmission:
         )
         before = controller.migration_plan.steps_completed
         trace = TraceGenerator(_KEY_SPACE, seed=31)
-        controller.execute(
+        controller.execute_batched(
             trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 1_500)
         )
         plan = controller.migration_plan
@@ -221,21 +225,25 @@ class TestControllerAdmission:
 
 
 class TestBatchedAdmissionParity:
-    """Satellite: ``execute_batched`` boundary math under both policies.
+    """``execute_batched`` chunk boundaries under both policies.
 
-    Scalar and batched execution of the same drifting stream must observe
-    the same drift, fire the same retunings, advance the same migration
-    steps at the same positions, and leave bit-identical trees and disks.
+    The chunked loop and the per-operation oracle, run on the same drifting
+    stream, must observe the same drift, fire the same retunings, advance the
+    same migration steps at the same positions, and leave bit-identical
+    trees, disks and estimators.  The stream drifts either to writes or to a
+    RANGE-heavy mix, where the plan's mixed state serves scans that the
+    kernel runs ahead of pending GET spans.  It is served in several chunks
+    with idle gaps between them, as the executors serve sessions.
     """
 
-    def _drifting_stream(self, seed, length):
-        trace = TraceGenerator(_KEY_SPACE, seed=seed)
-        calm = trace.operations(Workload(0.55, 0.25, 0.05, 0.15), length // 2)
-        drift = trace.operations(Workload(0.05, 0.05, 0.05, 0.85), length - length // 2)
-        return calm + drift
+    _EXPECTED = Workload(0.55, 0.25, 0.05, 0.15)
+    _DRIFTS = {
+        "writes": Workload(0.05, 0.05, 0.05, 0.85),
+        "scans": Workload(0.1, 0.1, 0.4, 0.4),
+    }
+    _CHUNK = 1_000
 
-    def _run(self, batched, admission, seed, length, max_batch_ops=4_096):
-        expected = Workload(0.55, 0.25, 0.05, 0.15)
+    def _run(self, batched, admission, seed, length, drift):
         config = OnlineConfig(**{
             **_PLAN_KWARGS,
             "cooldown": 256,
@@ -245,45 +253,55 @@ class TestBatchedAdmissionParity:
             "admission_starvation_ops": 512,
             "admission_idle_steps": 4,
         })
-        controller = _controller(config, expected)
-        operations = self._drifting_stream(seed, length)
-        if batched:
-            controller.execute_batched(operations, max_batch_ops=max_batch_ops)
-        else:
-            controller.execute(operations)
+        controller = _controller(config, self._EXPECTED)
+        trace = TraceGenerator(_KEY_SPACE, seed=seed)
+        operations = trace.operations(self._EXPECTED, length // 2) + trace.operations(
+            self._DRIFTS[drift], length - length // 2
+        )
+        for start in range(0, length, self._CHUNK):
+            chunk = operations[start:start + self._CHUNK]
+            if batched:
+                controller.execute_batched(chunk)
+            else:
+                execute_scalar(controller, chunk)
+            controller.note_idle()
         return controller
 
-    @pytest.mark.parametrize("admission", ADMISSION_MODES)
-    def test_batched_matches_scalar_through_retune_and_migration(
-        self, admission
-    ):
-        scalar = self._run(False, admission, seed=11, length=6_000)
-        batched = self._run(True, admission, seed=11, length=6_000)
-        assert scalar.num_migrations >= 1  # the stream does exercise a plan
+    def _assert_same_run(self, batched, scalar):
         assert batched.events == scalar.events
         assert batched.position == scalar.position
         assert batched.disk.counters == scalar.disk.counters
         assert batched.tuning == scalar.tuning
+        assert batched.tree.stats() == scalar.tree.stats()
         assert tree_fingerprint(batched.tree) == tree_fingerprint(scalar.tree)
-
-    @given(
-        seed=st.integers(min_value=0, max_value=40),
-        length=st.integers(min_value=500, max_value=2_500),
-        max_batch_ops=st.sampled_from([7, 64, 4_096]),
-        admission=st.sampled_from(ADMISSION_MODES),
-    )
-    @settings(max_examples=12, deadline=None)
-    def test_parity_holds_across_random_streams(
-        self, seed, length, max_batch_ops, admission
-    ):
-        scalar = self._run(False, admission, seed, length)
-        batched = self._run(
-            True, admission, seed, length, max_batch_ops=max_batch_ops
-        )
-        assert batched.events == scalar.events
-        assert batched.disk.counters == scalar.disk.counters
+        assert batched.estimator.observations == scalar.estimator.observations
         assert np.array_equal(
             batched.observed_workload().as_array(),
             scalar.observed_workload().as_array(),
         )
-        assert tree_fingerprint(batched.tree) == tree_fingerprint(scalar.tree)
+
+    @pytest.mark.parametrize("drift", sorted(_DRIFTS))
+    @pytest.mark.parametrize("admission", ADMISSION_MODES)
+    def test_batched_matches_scalar_through_retune_and_migration(
+        self, admission, drift
+    ):
+        scalar = self._run(False, admission, seed=11, length=6_000, drift=drift)
+        batched = self._run(True, admission, seed=11, length=6_000, drift=drift)
+        assert scalar.num_migrations >= 1  # the stream does exercise a plan
+        self._assert_same_run(batched, scalar)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=40),
+        length=st.integers(min_value=500, max_value=2_500),
+        max_span_keys=st.sampled_from([7, 64, 4_096]),
+        admission=st.sampled_from(ADMISSION_MODES),
+        drift=st.sampled_from(sorted(_DRIFTS)),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_parity_holds_across_random_streams(
+        self, seed, length, max_span_keys, admission, drift
+    ):
+        scalar = self._run(False, admission, seed, length, drift)
+        with mock.patch.object(lsm_tree, "MAX_SPAN_KEYS", max_span_keys):
+            batched = self._run(True, admission, seed, length, drift)
+        self._assert_same_run(batched, scalar)

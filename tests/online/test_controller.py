@@ -68,7 +68,7 @@ class TestControllerExecution:
         )
         trace = TraceGenerator(key_space, seed=9)
         operations = trace.operations(Workload.uniform(), 400)
-        controller.execute(operations)
+        controller.execute_batched(operations)
         assert controller.position == 400
         estimate = controller.observed_workload().as_array()
         assert np.allclose(estimate, 0.25, atol=0.15)
@@ -80,7 +80,7 @@ class TestControllerExecution:
         )
         controller = _controller(tiny_system, key_space, config, expected)
         trace = TraceGenerator(key_space, seed=9)
-        controller.execute(trace.operations(expected, 1_000))
+        controller.execute_batched(trace.operations(expected, 1_000))
         assert controller.events == []
         assert controller.num_migrations == 0
 
@@ -101,7 +101,7 @@ class TestControllerExecution:
         before_entries = controller.tree.num_entries
         trace = TraceGenerator(key_space, seed=9)
         # Write-only stream: far outside the read-heavy expectation.
-        controller.execute(trace.operations(Workload(0.0, 0.0, 0.0, 1.0), 1_500))
+        controller.execute_batched(trace.operations(Workload(0.0, 0.0, 0.0, 1.0), 1_500))
         assert controller.num_migrations >= 1
         event = next(e for e in controller.events if e.migrated)
         assert event.decision.justified
@@ -132,7 +132,7 @@ class TestControllerExecution:
         )
         controller = _controller(tiny_system, key_space, config, expected)
         trace = TraceGenerator(key_space, seed=9)
-        controller.execute(trace.operations(Workload(0.0, 0.0, 0.0, 1.0), 1_500))
+        controller.execute_batched(trace.operations(Workload(0.0, 0.0, 0.0, 1.0), 1_500))
         assert controller.events, "the drifted stream must fire at least once"
         for event in controller.events:
             assert event.observed.long_range_fraction == pytest.approx(0.6)
@@ -155,7 +155,7 @@ class TestControllerExecution:
         trace = TraceGenerator(key_space, seed=9)
         # A read-only drift (range-heavy): the only compaction traffic the
         # stream can generate is the migration itself.
-        controller.execute(trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 600))
+        controller.execute_batched(trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 600))
         migrated = [e for e in controller.events if e.migrated]
         assert migrated, "the range-only stream should have triggered a migration"
         counters = controller.disk.counters
@@ -220,9 +220,9 @@ class TestControllerExecution:
         )
         controller = _controller(tiny_system, key_space, config, expected)
         trace = TraceGenerator(key_space, seed=9)
-        controller.execute(trace.operations(Workload(0.0, 0.0, 0.0, 1.0), 800))
+        controller.execute_batched(trace.operations(Workload(0.0, 0.0, 0.0, 1.0), 800))
         # Drift back towards something else equally far from the recentre.
-        controller.execute(trace.operations(Workload(0.9, 0.05, 0.0, 0.05), 800))
+        controller.execute_batched(trace.operations(Workload(0.9, 0.05, 0.0, 0.05), 800))
         assert controller.num_migrations <= 1
 
 
@@ -251,7 +251,7 @@ class TestIncrementalMigration:
         controller = _controller(tiny_system, key_space, config, expected)
         initial_tuning = controller.tuning
         trace = TraceGenerator(key_space, seed=9)
-        controller.execute(trace.operations(Workload(0.0, 0.0, 0.0, 1.0), 6_000))
+        controller.execute_batched(trace.operations(Workload(0.0, 0.0, 0.0, 1.0), 6_000))
         assert controller.num_migrations >= 1
         event = next(e for e in controller.events if e.migrated)
         assert event.migration_steps > 1
@@ -278,7 +278,7 @@ class TestIncrementalMigration:
         # Range-only drift: the only compaction traffic is the migration.
         operations = trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 600)
         for operation in operations:
-            controller.apply(operation)
+            controller.execute_batched([operation])
             if controller.migration_in_progress:
                 break
         assert controller.migration_in_progress
@@ -306,7 +306,7 @@ class TestIncrementalMigration:
         })
         controller = _controller(tiny_system, key_space, config, expected)
         trace = TraceGenerator(key_space, seed=9)
-        controller.execute(trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 1_000))
+        controller.execute_batched(trace.operations(Workload(0.0, 0.0, 1.0, 0.0), 1_000))
         assert controller.migration_in_progress
         # Even with no cooldown, the in-flight plan blocks further firings.
         assert controller.num_migrations == 1
@@ -317,7 +317,7 @@ class TestIncrementalMigration:
         controller = _controller(tiny_system, key_space, config, expected)
         before_entries = controller.tree.num_entries
         trace = TraceGenerator(key_space, seed=9)
-        controller.execute(trace.operations(Workload(0.0, 0.0, 0.0, 1.0), 6_000))
+        controller.execute_batched(trace.operations(Workload(0.0, 0.0, 0.0, 1.0), 6_000))
         assert controller.num_migrations >= 1
         # Writes kept landing throughout: nothing was lost by the migration.
         assert controller.tree.num_entries >= before_entries
@@ -368,12 +368,12 @@ class TestAdaptiveRho:
         swung = Workload(0.50, 0.30, 0.15, 0.05)
         for burst in range(8):
             mix = near if burst % 2 else swung
-            controller.execute(trace.operations(mix, 150))
+            controller.execute_batched(trace.operations(mix, 150))
         assert controller.num_migrations == 0
         assert controller.detector.volatility() > 0.0
         # Now the drift: the widened radius is what the re-tuner solves for
         # and what the detector watches afterwards.
-        controller.execute(trace.operations(Workload(0.0, 0.0, 0.0, 1.0), 1_500))
+        controller.execute_batched(trace.operations(Workload(0.0, 0.0, 0.0, 1.0), 1_500))
         migrated = [e for e in controller.events if e.migrated]
         assert migrated
         assert migrated[0].decision.rho > 0.5

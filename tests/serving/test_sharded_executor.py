@@ -5,6 +5,7 @@ from __future__ import annotations
 import tempfile
 
 import pytest
+from replay_oracle import replay_scalar
 
 from repro.lsm import LSMTuning, Policy, simulator_system
 from repro.online import OnlineConfig
@@ -14,6 +15,7 @@ from repro.serving import (
     fleet_percentiles,
     format_sharded_comparison,
 )
+from repro.serving import executor as serving_executor
 from repro.serving.executor import tree_fingerprint
 from repro.serving.sharding import partition_keys
 from repro.storage import ExecutorConfig, WorkloadExecutor
@@ -54,8 +56,7 @@ class TestSingleShardBitIdentity:
         trace = executor.trace_generator()
         for session in sequence:
             for workload in session.workloads:
-                for op in trace.operations(workload, 250):
-                    tree.apply(op)
+                replay_scalar(tree, trace.operations(workload, 250))
         assert one.shards[0].fingerprint == tree_fingerprint(tree)
         assert one.shards[0].stats == tree.stats()
 
@@ -112,14 +113,15 @@ class TestShardedRuns:
             assert merged.num_queries == 250
             assert sum(p.num_queries for p in parts) >= merged.num_queries
 
-    def test_batched_and_scalar_shard_replay_agree(self, sequence):
+    def test_batched_and_scalar_shard_replay_agree(self, sequence, monkeypatch):
         """Coalescing GET spans across range scans is bit-identical."""
-        batched = ShardedExecutor(
-            _SYSTEM, _config(num_shards=2, batch_execution=True)
-        ).run_sequence(_TUNING, sequence)
-        scalar = ShardedExecutor(
-            _SYSTEM, _config(num_shards=2, batch_execution=False)
-        ).run_sequence(_TUNING, sequence)
+        batched = ShardedExecutor(_SYSTEM, _config(num_shards=2)).run_sequence(
+            _TUNING, sequence
+        )
+        monkeypatch.setattr(serving_executor, "execute_serving_batched", replay_scalar)
+        scalar = ShardedExecutor(_SYSTEM, _config(num_shards=2)).run_sequence(
+            _TUNING, sequence
+        )
         assert batched.sessions == scalar.sessions
         for fast, slow in zip(batched.shards, scalar.shards):
             assert fast.measurement.sessions == slow.measurement.sessions

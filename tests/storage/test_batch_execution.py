@@ -1,33 +1,43 @@
-"""Property tests for vectorised batch trace execution.
+"""Property tests for the trace-replay kernel against the scalar oracle.
 
 The batched read path (``BloomFilter.might_contain_many`` →
-``SortedRun.lookup_many`` → ``LSMTree.get_many`` → the executor's GET-span
-segmenter) carries one contract: **bit identity** with the scalar path.
-Virtual-disk counters, tree state and session measurements must come out
-byte-for-byte equal whether a trace is replayed one operation at a time or
-in vectorised batches.  These tests pin that contract:
+``SortedRun.lookup_many`` → ``LSMTree.get_many`` → the kernel
+:func:`~repro.storage.lsm_tree.execute_operations_batched`) carries one
+contract: **bit identity** with a one-operation-at-a-time replay (the oracle
+in ``tests/replay_oracle.py``).  Virtual-disk counters, tree state and
+session measurements must come out byte-for-byte equal, even though the
+kernel runs range scans ahead of a pending GET span.  These tests pin that
+contract:
 
 * random mixed op streams (gets, empty gets, puts-as-updates, deletes via
   pre-seeded tombstones, range scans) over every registered compaction
   policy — including per-level K_i vector bounds — with tiny buffers so
-  flushes and compactions land mid-stream;
-* executor-level session measurements, batched vs scalar;
-* the adaptive loop with an incremental migration in flight, where batches
-  route through the mixed migration state's ``get_many`` instead of the
-  tree's.
+  flushes and compactions land mid-stream, at several span caps;
+* the same on the persistent backend, where reads go through ``pread``;
+* RANGE-heavy streams against a mid-flight migration plan's mixed state;
+* executor-level session measurements, kernel vs oracle, static and
+  adaptive (the adaptive loop's chunk boundaries are pinned in
+  ``tests/online/test_admission.py``).
 """
 
 from __future__ import annotations
+
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from replay_oracle import execute_scalar, replay_scalar
 
 from repro.lsm import LSMTuning, Policy, simulator_system
-from repro.online import MigrationPlan, OnlineConfig
-from repro.storage import ExecutorConfig, LSMTree, WorkloadExecutor
+from repro.online import MigrationPlan, OnlineConfig, OnlineLSMController
+from repro.serving.executor import tree_fingerprint
+from repro.storage import ExecutorConfig, LSMTree, WorkloadExecutor, lsm_tree
+from repro.storage import executor as storage_executor
 from repro.storage.lsm_tree import execute_operation, execute_operations_batched
+from repro.storage.persistent import PersistentLSMTree
 from repro.workloads import (
     KeySpace,
     Operation,
@@ -60,32 +70,40 @@ _TUNING_IDS = [
 ]
 
 
+#: Operation-kind draws of a mixed stream (one in six is a range scan) and
+#: of a RANGE-heavy one (two in five).
+_MIXED_KINDS = (
+    OperationType.GET,
+    OperationType.GET,
+    OperationType.GET,
+    OperationType.EMPTY_GET,
+    OperationType.PUT,
+    OperationType.RANGE,
+)
+_RANGE_HEAVY_KINDS = (
+    OperationType.GET,
+    OperationType.EMPTY_GET,
+    OperationType.PUT,
+    OperationType.RANGE,
+    OperationType.RANGE,
+)
+
+
 @st.composite
-def _operation_streams(draw) -> list[Operation]:
+def _operation_streams(draw, kinds=_MIXED_KINDS) -> list[Operation]:
     """A random mixed op stream over the shared key space.
 
     Writes hit fresh keys *and* already-resident keys (updates), so flushed
     runs carry stale versions; gets split between resident and missing keys
     so both Bloom-positive and Bloom-negative probes occur; short range
-    scans interleave to break GET spans.
+    scans interleave with pending GET spans.
     """
     existing = _KEY_SPACE.existing
     missing = _KEY_SPACE.missing
     num_ops = draw(st.integers(min_value=1, max_value=120))
     ops: list[Operation] = []
     for _ in range(num_ops):
-        kind = draw(
-            st.sampled_from(
-                [
-                    OperationType.GET,
-                    OperationType.GET,
-                    OperationType.GET,
-                    OperationType.EMPTY_GET,
-                    OperationType.PUT,
-                    OperationType.RANGE,
-                ]
-            )
-        )
+        kind = draw(st.sampled_from(kinds))
         if kind is OperationType.GET:
             key = int(existing[draw(st.integers(0, existing.size - 1))])
         elif kind is OperationType.EMPTY_GET:
@@ -113,30 +131,62 @@ def _loaded_tree(tuning: LSMTuning, deletes: np.ndarray | None = None) -> LSMTre
     return tree
 
 
+def _assert_same_tree(batched, scalar) -> None:
+    assert batched.disk.counters == scalar.disk.counters
+    assert batched.stats() == scalar.stats()
+    assert tree_fingerprint(batched) == tree_fingerprint(scalar)
+
+
 class TestBatchedReplayBitIdentity:
     """execute_operations_batched == per-op execute_operation, bit for bit."""
 
     @pytest.mark.parametrize("tuning", _TUNINGS, ids=_TUNING_IDS)
     @given(
         ops=_operation_streams(),
-        max_batch_ops=st.sampled_from([1, 2, 7, 64, 4_096]),
+        max_span_keys=st.sampled_from([1, 2, 7, 64, 4_096]),
         delete_seed=st.integers(0, 2**16),
     )
     @settings(max_examples=15, deadline=None)
     def test_disk_counters_and_tree_state_match(
-        self, tuning, ops, max_batch_ops, delete_seed
+        self, tuning, ops, max_span_keys, delete_seed
     ):
         rng = np.random.default_rng(delete_seed)
         deletes = rng.choice(_KEY_SPACE.existing, size=40, replace=False)
         scalar = _loaded_tree(tuning, deletes)
         batched = _loaded_tree(tuning, deletes)
 
-        for op in ops:
-            execute_operation(scalar, op)
-        execute_operations_batched(batched, ops, max_batch_ops=max_batch_ops)
+        replay_scalar(scalar, ops)
+        with mock.patch.object(lsm_tree, "MAX_SPAN_KEYS", max_span_keys):
+            execute_operations_batched(batched, ops)
 
-        assert batched.disk.counters == scalar.disk.counters
-        assert batched.stats() == scalar.stats()
+        _assert_same_tree(batched, scalar)
+
+    @pytest.mark.parametrize(
+        "tuning", [_TUNINGS[0], _TUNINGS[1], _TUNINGS[5]], ids=["leveling", "tiering", "kvector"]
+    )
+    @given(
+        ops=_operation_streams(kinds=_RANGE_HEAVY_KINDS),
+        max_span_keys=st.sampled_from([2, 7, 4_096]),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_persistent_backend_matches_scalar(self, tuning, ops, max_span_keys):
+        """Scans run ahead of a pending GET span on the ``pread`` path too."""
+        with tempfile.TemporaryDirectory() as scratch:
+            trees = []
+            for name in ("scalar", "batched"):
+                tree = PersistentLSMTree(tuning, _SYSTEM, data_dir=f"{scratch}/{name}", seed=9)
+                tree.bulk_load(_KEY_SPACE.existing)
+                tree.disk.reset()
+                trees.append(tree)
+            scalar, batched = trees
+            try:
+                replay_scalar(scalar, ops)
+                with mock.patch.object(lsm_tree, "MAX_SPAN_KEYS", max_span_keys):
+                    execute_operations_batched(batched, ops)
+                _assert_same_tree(batched, scalar)
+            finally:
+                for tree in trees:
+                    tree.close()
 
     @given(
         ops=_operation_streams(),
@@ -178,50 +228,36 @@ def sequence():
     return generator.paper_sequence(workload, include_writes=True, workloads_per_session=2)
 
 
-class TestExecutorParity:
-    """Session measurements are byte-identical, batched vs scalar."""
+def _executor() -> WorkloadExecutor:
+    return WorkloadExecutor(_SYSTEM, ExecutorConfig(queries_per_workload=200, seed=5))
 
-    def _executor(self, batch: bool) -> WorkloadExecutor:
-        return WorkloadExecutor(
-            _SYSTEM,
-            ExecutorConfig(queries_per_workload=200, seed=5, batch_execution=batch),
-        )
+
+class TestExecutorParity:
+    """Session measurements are byte-identical, kernel vs scalar oracle."""
 
     @pytest.mark.parametrize(
         "tuning", [_TUNINGS[0], _TUNINGS[1], _TUNINGS[5]], ids=["leveling", "tiering", "kvector"]
     )
-    def test_run_sequence_measurements_match(self, tuning, sequence):
-        batched = self._executor(True).run_sequence(tuning, sequence)
-        scalar = self._executor(False).run_sequence(tuning, sequence)
+    def test_run_sequence_measurements_match(self, tuning, sequence, monkeypatch):
+        batched = _executor().run_sequence(tuning, sequence)
+        monkeypatch.setattr(storage_executor, "execute_operations_batched", replay_scalar)
+        scalar = _executor().run_sequence(tuning, sequence)
         assert batched == scalar
 
-    @pytest.mark.parametrize("max_batch_ops", [1, 13, 4_096])
-    def test_any_batch_bound_gives_the_same_measurement(self, max_batch_ops, sequence):
-        reference = self._executor(False).run_sequence(_TUNINGS[0], sequence)
-        executor = WorkloadExecutor(
-            _SYSTEM,
-            ExecutorConfig(
-                queries_per_workload=200,
-                seed=5,
-                batch_execution=True,
-                max_batch_ops=max_batch_ops,
-            ),
-        )
-        assert executor.run_sequence(_TUNINGS[0], sequence) == reference
-
-    def test_max_batch_ops_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_batch_ops"):
-            ExecutorConfig(max_batch_ops=0)
+    @pytest.mark.parametrize("max_span_keys", [1, 13, 4_096])
+    def test_any_span_cap_gives_the_same_measurement(self, max_span_keys, sequence, monkeypatch):
+        with monkeypatch.context() as patched:
+            patched.setattr(storage_executor, "execute_operations_batched", replay_scalar)
+            reference = _executor().run_sequence(_TUNINGS[0], sequence)
+        monkeypatch.setattr(lsm_tree, "MAX_SPAN_KEYS", max_span_keys)
+        assert _executor().run_sequence(_TUNINGS[0], sequence) == reference
 
 
 class TestAdaptiveParity:
-    """The online loop fires, migrates and measures identically under batching."""
+    """The online loop fires, migrates and measures identically when chunked."""
 
-    def _measure(self, batch: bool, sequence):
-        executor = WorkloadExecutor(
-            _SYSTEM,
-            ExecutorConfig(queries_per_workload=200, seed=5, batch_execution=batch),
-        )
+    def _measure(self, sequence):
+        executor = _executor()
         online = OnlineConfig(
             check_interval=64,
             min_observations=128,
@@ -233,9 +269,12 @@ class TestAdaptiveParity:
         )
         return executor.run_sequence_adaptive(_TUNINGS[0], sequence, online=online)
 
-    def test_adaptive_run_with_incremental_migration_matches_scalar(self, sequence):
-        batched = self._measure(True, sequence)
-        scalar = self._measure(False, sequence)
+    def test_adaptive_run_with_incremental_migration_matches_scalar(
+        self, sequence, monkeypatch
+    ):
+        batched = self._measure(sequence)
+        monkeypatch.setattr(OnlineLSMController, "execute_batched", execute_scalar)
+        scalar = self._measure(sequence)
         assert batched.sessions == scalar.sessions
         assert batched.events == scalar.events
         assert batched.final_tuning == scalar.final_tuning
@@ -291,6 +330,33 @@ class TestMixedStateParity:
         answers = batched_plan.get_many(probe)
         assert np.array_equal(answers, expected)
         assert batched_plan.source.disk.counters == scalar_plan.source.disk.counters
+
+
+class TestMixedStateReplayParity:
+    """The kernel on a mid-flight plan == the oracle, on RANGE-heavy streams.
+
+    With two in five operations a range scan, most GET spans stay pending
+    across scans that the kernel runs ahead of them on the mixed state.
+    """
+
+    @given(
+        ops=_operation_streams(kinds=_RANGE_HEAVY_KINDS),
+        max_span_keys=st.sampled_from([1, 7, 4_096]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_kernel_matches_scalar_on_the_mixed_state(self, ops, max_span_keys):
+        scalar_plan, _, _ = _mid_flight_plan()
+        batched_plan, _, _ = _mid_flight_plan()
+
+        replay_scalar(scalar_plan, ops)
+        with mock.patch.object(lsm_tree, "MAX_SPAN_KEYS", max_span_keys):
+            execute_operations_batched(batched_plan, ops)
+
+        _assert_same_tree(batched_plan.target, scalar_plan.target)
+        _assert_same_tree(batched_plan.source, scalar_plan.source)
+        scalar_plan.run_to_completion()
+        batched_plan.run_to_completion()
+        _assert_same_tree(batched_plan.target, scalar_plan.target)
 
 
 class TestAdversarialBatchScalarParity:

@@ -561,35 +561,6 @@ class TestCompareJson:
             assert set(session["system_ios"]) == {"nominal", "robust"}
 
 
-class TestBatchExecutionFlags:
-    def test_compare_defaults_to_batched_execution(self):
-        args = build_parser().parse_args(["compare"])
-        assert args.batch_execution is True
-        assert args.max_batch_ops == 4_096
-
-    def test_no_batch_execution_flag(self):
-        for command in ("compare", "online"):
-            args = build_parser().parse_args([command, "--no-batch-execution"])
-            assert args.batch_execution is False
-
-    def test_max_batch_ops_parses(self):
-        args = build_parser().parse_args(["online", "--max-batch-ops", "128"])
-        assert args.max_batch_ops == 128
-
-    def test_max_batch_ops_rejects_non_positive(self):
-        for bad in ("0", "-4", "1.5"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["compare", "--max-batch-ops", bad])
-
-    def test_compare_scalar_matches_batched_output(self, capsys):
-        argv = ["compare", "--num-entries", "4000", "--seed", "3", "--json"]
-        assert main(argv) == 0
-        batched = json.loads(capsys.readouterr().out)
-        assert main(argv + ["--no-batch-execution"]) == 0
-        scalar = json.loads(capsys.readouterr().out)
-        assert batched == scalar
-
-
 class TestServingFlags:
     """--num-shards on compare, --admission on online."""
 

@@ -91,14 +91,7 @@ class TestTraceGeneration:
         with pytest.raises(ValueError):
             operation_mix([])
 
-    def test_bulk_load_items_cover_existing_keys(self, generator, key_space):
-        items = generator.bulk_load_items()
-        assert len(items) == key_space.num_entries
-        assert {key for key, _ in items} == set(key_space.existing.tolist())
-
     def test_invalid_configuration_rejected(self, key_space):
-        with pytest.raises(ValueError):
-            TraceGenerator(key_space, value_size_bytes=0)
         with pytest.raises(ValueError):
             TraceGenerator(key_space, range_scan_keys=0)
 
